@@ -32,6 +32,8 @@ pub struct Baseline {
     pub blocking: Vec<BlockingAllow>,
     /// Repo-relative file path -> allowed panic-site count.
     pub panic_surface: BTreeMap<String, usize>,
+    /// Repo-relative file path -> allowed `thread::sleep` count.
+    pub sleep_poll: BTreeMap<String, usize>,
 }
 
 impl Baseline {
@@ -57,6 +59,7 @@ impl Baseline {
             LockOrder,
             Blocking,
             PanicSurface,
+            SleepPoll,
         }
         let mut b = Baseline::empty();
         let mut sec = Sec::None;
@@ -91,6 +94,7 @@ impl Baseline {
             if let Some(name) = line.strip_prefix('[').and_then(|r| r.strip_suffix(']')) {
                 sec = match name.trim() {
                     "panic-surface" => Sec::PanicSurface,
+                    "sleep-poll" => Sec::SleepPoll,
                     other => return Err(at(&format!("unknown section [{other}]"))),
                 };
                 continue;
@@ -129,11 +133,16 @@ impl Baseline {
                         k => return Err(at(&format!("unknown blocking key `{k}`"))),
                     }
                 }
-                Sec::PanicSurface => {
+                Sec::PanicSurface | Sec::SleepPoll => {
                     let n: usize = val
                         .parse()
                         .map_err(|_| at(&format!("`{key}` must be an integer, got `{val}`")))?;
-                    b.panic_surface.insert(key, n);
+                    let table = if sec == Sec::SleepPoll {
+                        &mut b.sleep_poll
+                    } else {
+                        &mut b.panic_surface
+                    };
+                    table.insert(key, n);
                 }
             }
         }
@@ -209,12 +218,16 @@ mod tests {
             "\n",
             "[panic-surface]\n",
             "\"crates/vni/src/fabric.rs\" = 3\n",
+            "\n",
+            "[sleep-poll]\n",
+            "\"crates/core/src/ctx.rs\" = 2\n",
         ))
         .unwrap();
         assert!(b.allows_edge("vni::Membership.links", "vni::Inbox.q"));
         assert!(!b.allows_edge("vni::Inbox.q", "vni::Membership.links"));
         assert!(b.allows_blocking("Daemon::wait_config", "thread::sleep"));
         assert_eq!(b.panic_surface.get("crates/vni/src/fabric.rs"), Some(&3));
+        assert_eq!(b.sleep_poll.get("crates/core/src/ctx.rs"), Some(&2));
     }
 
     #[test]

@@ -11,6 +11,7 @@
 //! - [`locks`] — lock-order graph + cycle detection and the
 //!   blocking-while-locked pass.
 //! - [`panics`] — panic-surface audit over the protocol crates.
+//! - [`sleeps`] — sleep-poll ratchet over the runtime and daemon crates.
 //! - [`rules`] — the original wall-clock / wire-enum-coverage / mgmt-usage
 //!   rules, re-hosted on the model.
 //! - [`baseline`] / [`report`] — the committed triage file and the
@@ -30,12 +31,44 @@ pub mod model;
 pub mod panics;
 pub mod report;
 pub mod rules;
+pub mod sleeps;
 pub mod source;
 
 pub use baseline::Baseline;
 pub use locks::{LockGraph, Watched};
 pub use model::CrateModel;
 pub use report::{Finding, Report};
+
+use panics::Site;
+
+/// A per-file site count gated on a baseline table whose counts may only go
+/// down.
+struct CountPass {
+    rule: &'static str,
+    /// What one site is, in a finding ("panic", "sleep-poll").
+    noun: &'static str,
+    /// How to clear a finding.
+    advice: &'static str,
+    /// Audited crates (by directory name under `crates/`).
+    crates: &'static [&'static str],
+    sites: fn(&CrateModel) -> Vec<Site>,
+}
+
+const PANIC_PASS: CountPass = CountPass {
+    rule: "panic-surface",
+    noun: "panic",
+    advice: "handle the error or raise the baseline with a triage reason",
+    crates: panics::PANIC_CRATES,
+    sites: panics::panic_sites,
+};
+
+const SLEEP_PASS: CountPass = CountPass {
+    rule: "sleep-poll",
+    noun: "sleep-poll",
+    advice: "wake on the awaited event instead of sleeping",
+    crates: sleeps::SLEEP_CRATES,
+    sites: sleeps::sleep_sites,
+};
 
 /// Parse models for every crate under `root/crates/`, sorted by name.
 pub fn workspace_models(root: &Path) -> Vec<CrateModel> {
@@ -85,28 +118,12 @@ pub fn analyze_workspace(root: &Path) -> Result<Report, String> {
         }
     }
 
-    // Panic surface (baselined per file).
-    let mut panic_total = 0usize;
-    let mut seen_keys = Vec::new();
-    for m in &models {
-        if !panics::PANIC_CRATES.contains(&m.name.as_str()) {
-            continue;
-        }
-        let sites = panics::panic_sites(m);
-        panic_total += sites.len();
-        let (findings, notes, keys, shadowed) = audit_panics(&sites, &bl, root);
-        report.findings.extend(findings);
-        report.notes.extend(notes);
-        seen_keys.extend(keys);
-        baselined += shadowed;
-    }
-    for key in bl.panic_surface.keys() {
-        if !seen_keys.contains(key) {
-            report.notes.push(format!(
-                "panic-surface baseline entry `{key}` matches no audited file — remove it"
-            ));
-        }
-    }
+    // Panic surface and sleep-polls (each baselined per file).
+    let (panic_total, shadowed) =
+        gate_counts(&PANIC_PASS, &models, &bl.panic_surface, root, &mut report);
+    baselined += shadowed;
+    let (_, shadowed) = gate_counts(&SLEEP_PASS, &models, &bl.sleep_poll, root, &mut report);
+    baselined += shadowed;
 
     // Legacy rules.
     for name in rules::DETERMINISTIC_CRATES {
@@ -153,8 +170,14 @@ pub fn analyze_crate(dir: &Path) -> Report {
 
     let sites = panics::panic_sites(&models[0]);
     let panic_total = sites.len();
-    let (findings, _notes, _keys, _) = audit_panics(&sites, &Baseline::empty(), dir);
-    report.findings.extend(findings);
+    let none = BTreeMap::new();
+    report
+        .findings
+        .extend(audit_counts(&PANIC_PASS, &sites, &none, dir).0);
+    let sites = sleeps::sleep_sites(&models[0]);
+    report
+        .findings
+        .extend(audit_counts(&SLEEP_PASS, &sites, &none, dir).0);
 
     report.findings.extend(rules::wall_clock(&dir.join("src")));
     report.findings.extend(rules::wire_enum_coverage(dir));
@@ -196,14 +219,48 @@ fn cycle_finding(c: &locks::Cycle) -> Finding {
     f
 }
 
-/// Compare one crate's panic sites against the baseline. Returns
-/// (findings, notes, keys seen, sites shadowed by the baseline).
-fn audit_panics(
-    sites: &[panics::PanicSite],
-    bl: &Baseline,
+/// Run a count pass over its crates, gate each file on `allowed`, and note
+/// baseline entries that match no audited file. Returns (sites counted,
+/// sites shadowed by the baseline).
+fn gate_counts(
+    pass: &CountPass,
+    models: &[CrateModel],
+    allowed: &BTreeMap<String, usize>,
+    root: &Path,
+    report: &mut Report,
+) -> (usize, usize) {
+    let (mut total, mut shadowed) = (0, 0);
+    let mut seen_keys = Vec::new();
+    for m in models
+        .iter()
+        .filter(|m| pass.crates.contains(&m.name.as_str()))
+    {
+        let sites = (pass.sites)(m);
+        total += sites.len();
+        let (findings, notes, keys, n) = audit_counts(pass, &sites, allowed, root);
+        report.findings.extend(findings);
+        report.notes.extend(notes);
+        seen_keys.extend(keys);
+        shadowed += n;
+    }
+    for key in allowed.keys().filter(|k| !seen_keys.contains(k)) {
+        report.notes.push(format!(
+            "{} baseline entry `{key}` matches no audited file — remove it",
+            pass.rule
+        ));
+    }
+    (total, shadowed)
+}
+
+/// Compare one crate's sites against the per-file `allowed` counts.
+/// Returns (findings, notes, keys seen, sites shadowed by the baseline).
+fn audit_counts(
+    pass: &CountPass,
+    sites: &[Site],
+    allowed: &BTreeMap<String, usize>,
     root: &Path,
 ) -> (Vec<Finding>, Vec<String>, Vec<String>, usize) {
-    let mut per_file: BTreeMap<String, Vec<&panics::PanicSite>> = BTreeMap::new();
+    let mut per_file: BTreeMap<String, Vec<&Site>> = BTreeMap::new();
     for s in sites {
         per_file
             .entry(panics::rel_key(&s.file, root))
@@ -216,7 +273,7 @@ fn audit_panics(
     let mut shadowed = 0usize;
     for (key, sites) in &per_file {
         keys.push(key.clone());
-        let allowed = bl.panic_surface.get(key).copied().unwrap_or(0);
+        let allowed = allowed.get(key).copied().unwrap_or(0);
         let n = sites.len();
         if n > allowed {
             let head: Vec<String> = sites
@@ -225,12 +282,13 @@ fn audit_panics(
                 .map(|s| format!("{} at line {}", s.what, s.line + 1))
                 .collect();
             let mut f = Finding::new(
-                "panic-surface",
+                pass.rule,
                 sites[0].file.clone(),
                 sites[0].line + 1,
                 format!(
-                    "{n} panic site(s), baseline allows {allowed} — handle the error \
-                     or raise the baseline with a triage reason ({})",
+                    "{n} {} site(s), baseline allows {allowed} — {} ({})",
+                    pass.noun,
+                    pass.advice,
                     head.join(", ")
                 ),
             );
@@ -241,8 +299,9 @@ fn audit_panics(
             shadowed += n;
             if n < allowed {
                 notes.push(format!(
-                    "panic-surface baseline for `{key}` is stale ({n} site(s), {allowed} allowed) \
-                     — tighten it"
+                    "{} baseline for `{key}` is stale ({n} site(s), {allowed} allowed) \
+                     — tighten it",
+                    pass.rule
                 ));
             }
         }

@@ -127,6 +127,35 @@ fn top_level_segments(line: &str) -> Vec<&str> {
     out
 }
 
+/// Mark every line of an out-of-line test module (a file declared as
+/// `#[cfg(test)] mod name;` by its parent) as test code: the per-file
+/// `#[cfg(test)]` scan cannot see a gate that lives in another file.
+fn mark_out_of_line_tests(files: &mut [SourceFile]) {
+    let mut test_files = Vec::new();
+    for f in files.iter() {
+        for (i, line) in f.code.iter().enumerate().skip(1) {
+            let Some(name) = leading_ident(line.trim().strip_prefix("mod ").unwrap_or_default())
+            else {
+                continue;
+            };
+            if !line.trim_end().ends_with(';') || f.code[i - 1].trim() != "#[cfg(test)]" {
+                continue;
+            }
+            let Some(dir) = f.path.parent() else { continue };
+            // `lib.rs`/`main.rs`/`mod.rs` own their directory; `foo.rs` owns `foo/`.
+            let dir = match f.path.file_stem().and_then(|s| s.to_str()) {
+                Some("lib" | "main" | "mod") | None => dir.to_path_buf(),
+                Some(stem) => dir.join(stem),
+            };
+            test_files.push(dir.join(format!("{name}.rs")));
+            test_files.push(dir.join(&name).join("mod.rs"));
+        }
+    }
+    for f in files.iter_mut().filter(|f| test_files.contains(&f.path)) {
+        f.in_test.fill(true);
+    }
+}
+
 impl CrateModel {
     /// Parse every `.rs` file under `dir/src`.
     pub fn parse(name: &str, dir: &Path) -> CrateModel {
@@ -138,7 +167,8 @@ impl CrateModel {
     }
 
     /// Build the model from pre-scanned files (tests, fixtures).
-    pub fn from_files(name: &str, files: Vec<SourceFile>) -> CrateModel {
+    pub fn from_files(name: &str, mut files: Vec<SourceFile>) -> CrateModel {
+        mark_out_of_line_tests(&mut files);
         let mut m = CrateModel {
             name: name.to_string(),
             files,

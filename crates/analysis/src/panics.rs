@@ -12,8 +12,10 @@ use std::path::PathBuf;
 /// Crates whose `src/` is audited (by directory name under `crates/`).
 pub const PANIC_CRATES: &[&str] = &["vni", "mpi", "ensemble", "checkpoint", "daemon", "events"];
 
+/// One counted source site (panic surface, sleep-poll): file, 0-based
+/// line, and what was found there.
 #[derive(Debug, Clone)]
-pub struct PanicSite {
+pub struct Site {
     pub file: PathBuf,
     pub line: usize,
     pub what: &'static str,
@@ -29,7 +31,7 @@ const PANIC_TOKENS: &[(&str, &str)] = &[
 ];
 
 /// All panic sites in a crate's non-test source.
-pub fn panic_sites(model: &CrateModel) -> Vec<PanicSite> {
+pub fn panic_sites(model: &CrateModel) -> Vec<Site> {
     let mut out = Vec::new();
     for f in &model.files {
         for (i, code) in f.code.iter().enumerate() {
@@ -49,14 +51,14 @@ pub fn panic_sites(model: &CrateModel) -> Vec<PanicSite> {
                             continue;
                         }
                     }
-                    out.push(PanicSite {
+                    out.push(Site {
                         file: f.path.clone(),
                         line: i,
                         what,
                     });
                 }
             }
-            out.extend(index_sites(code).into_iter().map(|_| PanicSite {
+            out.extend(index_sites(code).into_iter().map(|_| Site {
                 file: f.path.clone(),
                 line: i,
                 what: "indexing",

@@ -125,10 +125,9 @@ impl CkptImage {
             .sum();
         // `Zeros` regions are stored compressed in `body` but account at
         // their full heap footprint, like real untouched pages hitting disk.
-        let state_bytes = match portable::decode_portable(&self.body, self.level.arch()) {
-            Ok((v, _)) => v.heap_bytes() as u64,
-            Err(_) => self.body.len() as u64,
-        };
+        // Sized from the encoded structure: no decode, no array payload read.
+        let state_bytes = portable::accounted_bytes(&self.body, self.level.arch())
+            .unwrap_or(self.body.len() as u64);
         self.level.base_bytes() + state_bytes + chan
     }
 

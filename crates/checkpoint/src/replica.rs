@@ -234,9 +234,9 @@ impl ReplicaStore {
         k: u8,
         net: &ReplicaNet,
     ) -> PutReceipt {
+        let total = img.total_bytes();
         let mut g = self.inner.lock();
         let peers: Vec<NodeId> = g.live.iter().copied().filter(|n| *n != owner).collect();
-        let total = img.total_bytes();
         let frag_bytes = net.frag_bytes.max(1);
         let n_frags = (total.div_ceil(frag_bytes)).max(1) as u32;
         let mut frags = Vec::with_capacity(n_frags as usize);
@@ -462,7 +462,8 @@ impl ReplicaStore {
 
     /// (image count, logical bytes) — logical image sizes, matching the
     /// disk store's accounting (replica copies are reported separately via
-    /// the replication-bytes telemetry counter).
+    /// the replication-bytes telemetry counter). Sizing walks only each
+    /// image's encoded structure, so the lock is not held across a decode.
     pub fn stats(&self) -> (usize, u64) {
         let g = self.inner.lock();
         let count = g.images.values().map(|v| v.len()).sum();

@@ -166,7 +166,9 @@ impl CkptStore {
             .unwrap_or_default()
     }
 
-    /// (image count, accounted bytes) across the whole store.
+    /// (image count, accounted bytes) across the whole store. Sizing walks
+    /// only each image's encoded structure, so the lock is not held across
+    /// a decode.
     pub fn stats(&self) -> (usize, u64) {
         let g = self.inner.lock();
         let count = g.images.values().map(|v| v.len()).sum();

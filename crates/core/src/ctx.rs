@@ -315,17 +315,8 @@ impl Ctx<'_> {
 
     /// Hold here while a stop-and-sync round has this process stopped.
     fn hold_while_stopped(&mut self) -> Result<()> {
-        let deadline = std::time::Instant::now() + Duration::from_secs(60);
-        while self.rt.cr.stopped {
-            if std::time::Instant::now() > deadline {
-                return Err(Error::timeout("quiesce never completed"));
-            }
-            self.rt.service(None)?;
-            if self.rt.cr.stopped {
-                std::thread::sleep(Duration::from_millis(1));
-            }
-        }
-        Ok(())
+        self.rt
+            .service_until(None, "quiesce never completed", |rt| !rt.cr.stopped)
     }
 
     fn csend(&mut self, context: u32, dst_world: Rank, tag: u64, data: &[u8]) -> Result<()> {
@@ -793,34 +784,18 @@ impl Ctx<'_> {
         if !is_initiator {
             // Collective participation: stay at this service point until a
             // round has been completed locally (image written and, for
-            // stop-and-sync, the resume received).
-            self.rt.cached_state = Some((state.save(), self.rt.comm.coll_seq));
+            // stop-and-sync, the resume received). Exit as soon as this
+            // round's image landed; if the *next* round has already stopped
+            // us, the following context call completes it via
+            // `hold_while_stopped`.
             let before = self.rt.cr.last_index;
-            let deadline = std::time::Instant::now() + Duration::from_secs(60);
-            // Exit as soon as this round's image landed; if the *next* round
-            // has already stopped us, the following context call completes
-            // it via `hold_while_stopped`.
-            while self.rt.cr.last_index == before {
-                if std::time::Instant::now() > deadline {
-                    if std::env::var_os("STARFISH_RT_DEBUG").is_some() {
-                        if let CrEngine::Sync(e) = &self.rt.cr.engine {
-                            eprintln!(
-                                "[rt {}.{}] member stuck (epoch {}): {:?}",
-                                self.rt.app,
-                                self.rt.rank,
-                                self.rt.mpi.epoch(),
-                                e
-                            );
-                        }
-                    }
-                    return Err(Error::timeout("checkpoint round never reached this rank"));
-                }
-                self.rt.service(Some(state))?;
-                std::thread::sleep(Duration::from_millis(1));
-            }
+            self.rt.service_until(
+                Some(state),
+                "checkpoint round never reached this rank",
+                |rt| rt.cr.last_index != before,
+            )?;
             return Ok(self.rt.clock.now() - start);
         }
-        self.rt.cached_state = Some((state.save(), self.rt.comm.coll_seq));
         let next = self.rt.cr.last_index + 1;
         let committed_before = self.rt.cr.committed;
         let effects = match &mut self.rt.cr.engine {
@@ -837,25 +812,10 @@ impl Ctx<'_> {
             return Ok(self.rt.clock.now() - start);
         }
         // Wait until the round commits (the engine reports Committed).
-        let deadline = std::time::Instant::now() + Duration::from_secs(60);
-        while self.rt.cr.committed == committed_before {
-            if std::time::Instant::now() > deadline {
-                if std::env::var_os("STARFISH_RT_DEBUG").is_some() {
-                    if let CrEngine::Sync(e) = &self.rt.cr.engine {
-                        eprintln!(
-                            "[rt {}.{}] commit stuck (epoch {}): {:?}",
-                            self.rt.app,
-                            self.rt.rank,
-                            self.rt.mpi.epoch(),
-                            e
-                        );
-                    }
-                }
-                return Err(Error::timeout("checkpoint round never committed"));
-            }
-            self.rt.service(Some(state))?;
-            std::thread::sleep(Duration::from_millis(1));
-        }
+        self.rt
+            .service_until(Some(state), "checkpoint round never committed", |rt| {
+                rt.cr.committed != committed_before
+            })?;
         Ok(self.rt.clock.now() - start)
     }
 

@@ -125,8 +125,9 @@ pub(crate) struct CrModule {
     pub engine: CrEngine,
     /// Stop-and-sync: application held at its service point.
     pub stopped: bool,
-    /// Chandy–Lamport: state snapshot waiting for the remaining markers.
-    pub pending_cl: Option<PendingCl>,
+    /// Chandy–Lamport: image captured, its channel state waiting for the
+    /// remaining markers.
+    pub pending_cl: Option<CkptImage>,
     /// Highest checkpoint index written locally.
     pub last_index: u64,
     /// Rounds committed (coordinator only).
@@ -137,12 +138,6 @@ pub(crate) enum CrEngine {
     Sync(StopAndSync),
     Cl(ChandyLamport),
     Indep(Independent),
-}
-
-pub(crate) struct PendingCl {
-    pub index: u64,
-    pub state: CkptValue,
-    pub taken_at: VirtualTime,
 }
 
 impl CrModule {
@@ -179,7 +174,12 @@ pub struct ProcessRuntime {
     pub(crate) mpi: MpiEndpoint,
     pub(crate) comm: Comm,
     pub(crate) clock: VClock,
-    pub(crate) down_rx: Receiver<ProcDown>,
+    /// Daemon messages from the group-handler forwarder, each with the
+    /// ticket of the data-port ring that announced it.
+    pub(crate) down_rx: Receiver<(ProcDown, u64)>,
+    /// Daemon messages taken from `down_rx` whose ring has not passed the
+    /// data port yet (see [`ProcessRuntime::service`]).
+    pub(crate) pending_down: std::collections::VecDeque<(ProcDown, u64)>,
     pub(crate) up_tx: Sender<(AppId, Rank, ProcUp)>,
     pub(crate) store: StoreHub,
     pub(crate) outputs: Outputs,
@@ -196,13 +196,15 @@ pub struct ProcessRuntime {
     pub(crate) pending_epoch: Option<starfish_util::Epoch>,
     pub(crate) suspended: bool,
     pub(crate) killed: bool,
-    /// `(state, coll_seq)` cached at the last safepoint. When a checkpoint
-    /// must be taken while the application is blocked in a communication
-    /// call (no live state in hand), this pair is captured instead, together
-    /// with the [`consumed_log`](Self::consumed_log): the restored process
-    /// rewinds to the safepoint and replays exactly the messages the
-    /// abandoned execution had consumed, so the cut stays consistent.
-    pub(crate) cached_state: Option<(CkptValue, u64)>,
+    /// The image payload ([`image_state`]: the state and its `coll_seq`)
+    /// cached at the last safepoint or live capture. Every image is encoded
+    /// from here. When a checkpoint must be taken while the application is
+    /// blocked in a communication call (no live state in hand), the cached
+    /// payload is captured together with the
+    /// [`consumed_log`](Self::consumed_log): the restored process rewinds to
+    /// the safepoint and replays exactly the messages the abandoned
+    /// execution had consumed, so the cut stays consistent.
+    pub(crate) cached_state: Option<CkptValue>,
     /// Every data message consumed since the last safepoint (message log
     /// backing the cached-state capture; cleared at each safepoint).
     pub(crate) consumed_log: Vec<(MsgHeader, Bytes)>,
@@ -217,6 +219,9 @@ pub struct ProcessRuntime {
     /// mid-restart); retried at every service point with their original
     /// virtual send time.
     pub(crate) pending_marks: Vec<(Rank, Bytes, VirtualTime)>,
+    /// C/R relays (with their own virtual send times) held back behind
+    /// the data-path marks they follow (see `run_effects`).
+    pub(crate) held_relays: Vec<ProcUp>,
 
     /// This process's telemetry registry (also installed in the MPI
     /// endpoint); snapshots flush to the daemon at round commits,
@@ -239,6 +244,24 @@ pub struct ProcessRuntime {
 
 /// How often blocking loops wake to service interrupts (real time).
 const SERVICE_SLICE: Duration = Duration::from_millis(50);
+
+/// Round waits while C/R marks are parked for a peer whose port is not
+/// bound yet. The bind of the address the mark failed on rings us
+/// (`MpiEndpoint::wake_on_bind`); a peer re-placed on another node or cut
+/// off rings nothing, so the retry also runs on this slice.
+const MARK_RETRY_SLICE: Duration = Duration::from_millis(1);
+
+/// How long a round loop waits for its round before giving up.
+const ROUND_PATIENCE: Duration = Duration::from_secs(60);
+
+/// The image payload of application state `user` taken at collective
+/// sequence number `coll_seq` (`load_checkpoint` reads both back).
+fn image_state(user: CkptValue, coll_seq: u64) -> CkptValue {
+    CkptValue::Record(vec![
+        ("__coll_seq".to_string(), CkptValue::Int(coll_seq as i64)),
+        ("__user".to_string(), user),
+    ])
+}
 
 impl ProcessRuntime {
     #[allow(clippy::too_many_arguments)]
@@ -268,6 +291,7 @@ impl ProcessRuntime {
         let abort_flag = Arc::new(AtomicBool::new(false));
         let mut mpi = mpi;
         mpi.set_abort_flag(abort_flag.clone());
+        let down_rx = spawn_group_handler(app, rank, down_rx, abort_flag.clone(), mpi.waker());
         mpi.set_metrics(metrics.clone());
         let proto = entry.spec.proto;
         ProcessRuntime {
@@ -281,6 +305,7 @@ impl ProcessRuntime {
             comm: Comm::world(size, rank),
             clock: VClock::starting_at(spawn_vt),
             down_rx,
+            pending_down: Default::default(),
             up_tx,
             store,
             outputs,
@@ -304,6 +329,7 @@ impl ProcessRuntime {
             indep_every,
             safepoint_count: 0,
             pending_marks: Vec::new(),
+            held_relays: Vec::new(),
             metrics,
             round_started: None,
             ckpt_marks: std::collections::BTreeMap::from([(0, (spawn_vt, 0))]),
@@ -352,10 +378,75 @@ impl ProcessRuntime {
         let _ = self.up_tx.send((self.app, self.rank, msg));
     }
 
+    /// Queue a C/R relay behind the held ones; it leaves now unless it must
+    /// wait for its batch's data-path marks (`hold`) or a parked mark.
+    fn relay(&mut self, up: ProcUp, hold: bool) {
+        self.held_relays.push(up);
+        if !hold {
+            self.release_relays();
+        }
+    }
+
+    /// Send the held C/R relays, in order, unless a mark is still parked
+    /// on a peer that has not bound its port: the relays must not reach
+    /// that peer ahead of it.
+    fn release_relays(&mut self) {
+        if self.pending_marks.is_empty() {
+            for up in std::mem::take(&mut self.held_relays) {
+                self.send_up(up);
+            }
+        }
+    }
+
+    /// Block between service points until something could move a round: a
+    /// packet (flush marks and markers ride the data port) or a daemon
+    /// message (the group-handler forwarder rings the data port).
+    /// Adds no virtual time.
+    fn wait_event(&self) -> Result<()> {
+        let slice = if self.pending_marks.is_empty() {
+            SERVICE_SLICE
+        } else {
+            MARK_RETRY_SLICE
+        };
+        self.mpi.wait_event(slice)
+    }
+
+    /// The round loop: service points (with `state` for live capture) and
+    /// event waits until `done` holds. Fails with a timeout naming `what`
+    /// after [`ROUND_PATIENCE`].
+    pub(crate) fn service_until(
+        &mut self,
+        state: Option<&dyn Checkpointable>,
+        what: &str,
+        done: impl Fn(&Self) -> bool,
+    ) -> Result<()> {
+        let deadline = std::time::Instant::now() + ROUND_PATIENCE;
+        while !done(self) {
+            if std::time::Instant::now() > deadline {
+                if std::env::var_os("STARFISH_RT_DEBUG").is_some() {
+                    if let CrEngine::Sync(e) = &self.cr.engine {
+                        eprintln!(
+                            "[rt {}.{}] {what} (epoch {}): {e:?}",
+                            self.app,
+                            self.rank,
+                            self.mpi.epoch()
+                        );
+                    }
+                }
+                return Err(Error::timeout(what));
+            }
+            self.service(state)?;
+            if !done(self) {
+                self.wait_event()?;
+            }
+        }
+        Ok(())
+    }
+
     // ---- service points --------------------------------------------------------
 
     /// Drain daemon messages and C/R marks, run protocol engines, execute
-    /// effects. `state` enables live checkpoint capture (safepoints);
+    /// effects. `state` enables live checkpoint capture (`Ctx::checkpoint`);
     /// without it the cached safepoint state is captured instead.
     pub(crate) fn service(&mut self, mut state: Option<&dyn Checkpointable>) -> Result<()> {
         // Retry any C/R marks whose destination was not yet reachable,
@@ -373,23 +464,38 @@ impl ProcessRuntime {
                     self.pending_marks.push((to, body, at));
                 }
             }
+            self.release_relays();
         }
         // Data-path marks first: they belong to an *earlier* protocol stage
         // than anything the daemons relay (e.g. a peer's Saved can arrive in
         // real time before the flush mark that gates our own capture, and
         // merging its later timestamp first would artificially serialize the
         // round in virtual time).
+        //
+        // A daemon message is handled only once the data-port ring that
+        // announced it has passed, i.e. after every packet that reached the
+        // port before it: a relay never overtakes a flush mark in real
+        // time, whichever thread ran first.
+        let passed = self.mpi.rings_passed();
         self.pump_marks(&mut state)?;
-        loop {
+        let disconnected = loop {
             match self.down_rx.try_recv() {
-                Ok(msg) => self.handle_down(msg, &mut state)?,
-                Err(channel::TryRecvError::Empty) => break,
-                Err(channel::TryRecvError::Disconnected) => {
-                    // Daemon gone: our node crashed or the app was torn down.
-                    self.killed = true;
-                    return Err(Error::interrupted("daemon connection lost"));
-                }
+                Ok(m) => self.pending_down.push_back(m),
+                Err(channel::TryRecvError::Empty) => break false,
+                Err(channel::TryRecvError::Disconnected) => break true,
             }
+        };
+        // Once the daemon is gone no ring will follow: handle everything.
+        let passed = if disconnected { u64::MAX } else { passed };
+        while self.pending_down.front().is_some_and(|(_, t)| *t <= passed) {
+            if let Some((msg, _)) = self.pending_down.pop_front() {
+                self.handle_down(msg, &mut state)?;
+            }
+        }
+        if disconnected {
+            // Daemon gone: our node crashed or the app was torn down.
+            self.killed = true;
+            return Err(Error::interrupted("daemon connection lost"));
         }
         self.pump_marks(&mut state)?;
         if self.suspended {
@@ -526,22 +632,33 @@ impl ProcessRuntime {
         effects: Vec<CrEffect>,
         state: &mut Option<&dyn Checkpointable>,
     ) -> Result<()> {
-        for eff in effects {
+        // An engine lists a round's relays (Stop) before its data-path
+        // marks. The relays leave after the last mark in real time, stamped
+        // with their own virtual time, so the daemon path never overtakes a
+        // mark the protocol sends first: a peer then starts the round from
+        // the mark, as virtual time orders it.
+        let last_mark = effects
+            .iter()
+            .rposition(|e| matches!(e, CrEffect::DataMark { .. }));
+        for (i, eff) in effects.into_iter().enumerate() {
+            let before_marks = last_mark.is_some_and(|m| i < m);
             match eff {
                 CrEffect::Send { to, msg } => {
-                    self.send_up(ProcUp::SendTo {
+                    let up = ProcUp::SendTo {
                         kind: RelayKind::CheckpointRestart,
                         to,
                         body: msg.encode_to_bytes(),
                         vt: self.clock.now(),
-                    });
+                    };
+                    self.relay(up, before_marks);
                 }
                 CrEffect::Broadcast { msg } => {
-                    self.send_up(ProcUp::Cast {
+                    let up = ProcUp::Cast {
                         kind: RelayKind::CheckpointRestart,
                         body: msg.encode_to_bytes(),
                         vt: self.clock.now(),
-                    });
+                    };
+                    self.relay(up, before_marks);
                 }
                 CrEffect::DataMark { to, msg } => {
                     // Channel capture assumes everything in flight precedes
@@ -574,6 +691,7 @@ impl ProcessRuntime {
                         // keep retrying at service points. Genuinely dead
                         // peers are resolved by the membership layer (the
                         // round is rebuilt after the restart decision).
+                        self.mpi.wake_on_bind(to);
                         self.pending_marks.push((to, body, self.clock.now()));
                     }
                 }
@@ -587,25 +705,21 @@ impl ProcessRuntime {
                             .recorder()
                             .phase_begin(self.clock.now(), "ckpt.round");
                     }
-                    match state {
+                    let replay = match state {
                         Some(s) => {
-                            // Live capture at a safepoint: nothing consumed since.
-                            let v = s.save();
-                            let seq = self.comm.coll_seq;
-                            self.cached_state = Some((v.clone(), seq));
+                            // Live capture at a safepoint: nothing consumed
+                            // since. The round's one `save`; the image is
+                            // encoded from the cache it lands in.
+                            self.cached_state = Some(image_state(s.save(), self.comm.coll_seq));
                             self.consumed_log.clear();
-                            self.take_checkpoint_value(index, v, seq, Vec::new())?;
+                            Vec::new()
                         }
-                        None => {
-                            // Blocked in a communication call: rewind to the
-                            // cached safepoint and log the consumed messages so
-                            // the restored incarnation can replay them.
-                            let (v, seq) =
-                                self.cached_state.clone().unwrap_or((CkptValue::Unit, 0));
-                            let replay = self.consumed_log.clone();
-                            self.take_checkpoint_value(index, v, seq, replay)?;
-                        }
-                    }
+                        // Blocked in a communication call: rewind to the
+                        // cached safepoint and log the consumed messages so
+                        // the restored incarnation can replay them.
+                        None => self.consumed_log.clone(),
+                    };
+                    self.take_checkpoint(index, replay)?;
                 }
                 CrEffect::RecordChannel { from } => self.mpi.start_recording(from),
                 CrEffect::StopRecord { from } => self.mpi.stop_recording(from),
@@ -642,6 +756,9 @@ impl ProcessRuntime {
                     self.flush_stats();
                 }
             }
+            if Some(i) == last_mark {
+                self.release_relays();
+            }
         }
         // Chandy–Lamport: finalize the image once all markers are in (the
         // engine already emitted its Saved message; here we persist the
@@ -651,9 +768,9 @@ impl ProcessRuntime {
             CrEngine::Cl(e) if e.phase() == ClPhase::Complete || e.phase() == ClPhase::Idle
         );
         if cl_complete {
-            if let Some(p) = self.cr.pending_cl.take() {
-                let channel = self.take_recorded_channel();
-                self.write_image(p.index, p.state, channel, p.taken_at)?;
+            if let Some(mut img) = self.cr.pending_cl.take() {
+                img.channel = self.take_recorded_channel();
+                self.write_image(img)?;
             }
         }
         Ok(())
@@ -680,94 +797,87 @@ impl ProcessRuntime {
             .collect()
     }
 
-    /// Capture a local checkpoint at `index` with the given state value,
-    /// the collective sequence number matching that state, and any consumed
-    /// messages the restored incarnation must replay.
-    fn take_checkpoint_value(
-        &mut self,
-        index: u64,
-        user_state: CkptValue,
-        coll_seq: u64,
-        replay: Vec<(MsgHeader, Bytes)>,
-    ) -> Result<()> {
-        let wrapped = CkptValue::Record(vec![
-            ("__coll_seq".to_string(), CkptValue::Int(coll_seq as i64)),
-            ("__user".to_string(), user_state),
-        ]);
-        match &mut self.cr.engine {
-            CrEngine::Cl(_) => {
-                // State snapshots now; channel recording completes later.
-                self.cr.pending_cl = Some(PendingCl {
-                    index,
-                    state: wrapped,
-                    taken_at: self.clock.now(),
-                });
-                // Serialization cost is charged at finalization (write).
-                Ok(())
-            }
-            _ => {
-                // Stop-and-sync / independent: the channel is the replay log
-                // (messages consumed past the capture point) plus whatever
-                // is unconsumed right now (stop-and-sync guarantees the
-                // latter is all remaining in-flight traffic).
-                let channel: Vec<ChannelMsg> = replay
-                    .into_iter()
-                    .chain(self.mpi.snapshot_channel(&mut self.clock))
-                    .map(|(h, b)| ChannelMsg {
-                        src: h.src,
-                        dst: self.rank,
-                        context: h.context,
-                        tag: h.tag,
-                        payload: b.to_vec(),
-                    })
-                    .collect();
-                let taken_at = self.clock.now();
-                self.write_image(index, wrapped, channel, taken_at)?;
-                let effects = match &mut self.cr.engine {
-                    CrEngine::Sync(e) => e.on_saved(index),
-                    CrEngine::Indep(e) => {
-                        self.mpi.piggyback_interval = e.current_interval();
-                        Vec::new()
-                    }
-                    CrEngine::Cl(_) => unreachable!(),
-                };
-                let mut no_state: Option<&dyn Checkpointable> = None;
-                self.run_effects(effects, &mut no_state)
-            }
+    /// Capture a local checkpoint at `index` from the cached image payload,
+    /// with any consumed messages the restored incarnation must replay.
+    fn take_checkpoint(&mut self, index: u64, replay: Vec<(MsgHeader, Bytes)>) -> Result<()> {
+        if let CrEngine::Cl(_) = self.cr.engine {
+            // State snapshots now; channel recording completes later, and
+            // the write (with its cost) happens at finalization.
+            self.cr.pending_cl = Some(self.capture_image(index, Vec::new(), self.clock.now())?);
+            return Ok(());
         }
+        // Stop-and-sync / independent: the channel is the replay log
+        // (messages consumed past the capture point) plus whatever is
+        // unconsumed right now (stop-and-sync guarantees the latter is all
+        // remaining in-flight traffic).
+        let channel: Vec<ChannelMsg> = replay
+            .into_iter()
+            .chain(self.mpi.snapshot_channel(&mut self.clock))
+            .map(|(h, b)| ChannelMsg {
+                src: h.src,
+                dst: self.rank,
+                context: h.context,
+                tag: h.tag,
+                payload: b.to_vec(),
+            })
+            .collect();
+        let img = self.capture_image(index, channel, self.clock.now())?;
+        self.write_image(img)?;
+        let effects = match &mut self.cr.engine {
+            CrEngine::Sync(e) => e.on_saved(index),
+            CrEngine::Indep(e) => {
+                self.mpi.piggyback_interval = e.current_interval();
+                Vec::new()
+            }
+            CrEngine::Cl(_) => unreachable!(),
+        };
+        let mut no_state: Option<&dyn Checkpointable> = None;
+        self.run_effects(effects, &mut no_state)
     }
 
-    fn write_image(
-        &mut self,
+    /// Encode the cached image payload (an empty state at sequence 0 if
+    /// nothing was cached) into an image.
+    fn capture_image(
+        &self,
         index: u64,
-        state: CkptValue,
         channel: Vec<ChannelMsg>,
         taken_at: VirtualTime,
-    ) -> Result<()> {
+    ) -> Result<CkptImage> {
         let level = match self.entry.spec.level {
             LevelKind::Native => CkptLevel::Native { arch: self.arch },
             LevelKind::Vm => CkptLevel::Vm { arch: self.arch },
         };
-        let img = CkptImage::capture(
+        let empty;
+        let state = match &self.cached_state {
+            Some(v) => v,
+            None => {
+                empty = image_state(CkptValue::Unit, 0);
+                &empty
+            }
+        };
+        CkptImage::capture(
             self.app,
             self.rank,
             self.entry.epoch,
             index,
             level,
-            &state,
+            state,
             channel,
             taken_at,
-        )?;
+        )
+    }
+
+    fn write_image(&mut self, img: CkptImage) -> Result<()> {
+        let (index, taken_at) = (img.index, img.taken_at);
+        let bytes = img.total_bytes();
         if std::env::var_os("STARFISH_RT_DEBUG").is_some() {
             eprintln!(
-                "[rt {}.{}] write_image idx={index} start_vt={} bytes={}",
+                "[rt {}.{}] write_image idx={index} start_vt={} bytes={bytes}",
                 self.app,
                 self.rank,
                 self.clock.now(),
-                img.total_bytes()
             );
         }
-        let bytes = img.total_bytes();
         // Disk-backed apps pay the (modeled) stable-storage write; replica
         // apps instead push fragments to peer memory over the fabric and pay
         // the serialized NIC cost reported by the replica store.
@@ -797,13 +907,17 @@ impl ProcessRuntime {
     }
 
     /// Hold here while the application is administratively suspended.
+    /// Parked, the application consumes nothing, so daemon messages are
+    /// handled in arrival order without waiting for their rings.
     fn park(&mut self) -> Result<()> {
+        let mut no_state: Option<&dyn Checkpointable> = None;
         while self.suspended {
+            if let Some((msg, _)) = self.pending_down.pop_front() {
+                self.handle_down(msg, &mut no_state)?;
+                continue;
+            }
             match self.down_rx.recv_timeout(SERVICE_SLICE) {
-                Ok(msg) => {
-                    let mut no_state: Option<&dyn Checkpointable> = None;
-                    self.handle_down(msg, &mut no_state)?;
-                }
+                Ok((msg, _)) => self.handle_down(msg, &mut no_state)?,
                 Err(channel::RecvTimeoutError::Timeout) => {}
                 Err(channel::RecvTimeoutError::Disconnected) => {
                     self.killed = true;
@@ -818,9 +932,12 @@ impl ProcessRuntime {
     /// progress, hold here (quiesce) until it commits.
     pub(crate) fn safepoint(&mut self, state: &dyn Checkpointable) -> Result<()> {
         self.safepoint_count += 1;
-        self.cached_state = Some((state.save(), self.comm.coll_seq));
+        // The safepoint's one `save`. Nothing is consumed before the
+        // application continues, so a checkpoint taken here captures this
+        // cache exactly as a live capture would: no live state is passed on.
+        self.cached_state = Some(image_state(state.save(), self.comm.coll_seq));
         self.consumed_log.clear();
-        self.service(Some(state))?;
+        self.service(None)?;
         // Independent auto-checkpointing.
         if let (Some(every), CrEngine::Indep(_)) = (self.indep_every, &self.cr.engine) {
             if every > 0 && self.safepoint_count.is_multiple_of(every) {
@@ -828,33 +945,11 @@ impl ProcessRuntime {
                     CrEngine::Indep(e) => e.take_checkpoint(),
                     _ => unreachable!(),
                 };
-                let mut s = Some(state);
-                self.run_effects(effects, &mut s)?;
+                self.run_effects(effects, &mut None)?;
             }
         }
         // Stop-and-sync quiesce: the application stays here until Resume.
-        let hold_deadline = std::time::Instant::now() + Duration::from_secs(60);
-        while self.cr.stopped {
-            if std::time::Instant::now() > hold_deadline {
-                if std::env::var_os("STARFISH_RT_DEBUG").is_some() {
-                    if let CrEngine::Sync(e) = &self.cr.engine {
-                        eprintln!(
-                            "[rt {}.{}] quiesce stuck (epoch {}): {:?}",
-                            self.app,
-                            self.rank,
-                            self.mpi.epoch(),
-                            e
-                        );
-                    }
-                }
-                return Err(Error::timeout("quiesce never completed"));
-            }
-            self.service(Some(state))?;
-            if self.cr.stopped {
-                std::thread::sleep(Duration::from_millis(1));
-            }
-        }
-        Ok(())
+        self.service_until(None, "quiesce never completed", |rt| !rt.cr.stopped)
     }
 
     // ---- restart ---------------------------------------------------------------
@@ -868,6 +963,7 @@ impl ProcessRuntime {
         self.cached_state = None;
         self.consumed_log.clear();
         self.pending_marks.clear();
+        self.held_relays.clear();
         // Drop forensic marks past the restored line and rewind the
         // consumed counter to the line's value.
         self.ckpt_marks.split_off(&(index + 1));
@@ -970,27 +1066,41 @@ impl ProcessRuntime {
     }
 }
 
-/// The process main loop: run the user code, re-entering after rollbacks.
-pub(crate) fn process_main(mut rt: ProcessRuntime, run: Arc<crate::host::AppFn>) {
-    // Spawn a forwarder that mirrors Rollback/Kill into the abort flag so
-    // blocking MPI waits preempt promptly.
+/// Spawn the group-handler forwarder: it mirrors Rollback/Kill into the
+/// abort flag so blocking MPI waits preempt promptly, and passes every
+/// daemon message on with a ring of the rank's data port, so a rank blocked
+/// in a receive or a round wait has one wake source for data and control
+/// alike. The message carries its ring's ticket and is queued before the
+/// ring can pass.
+fn spawn_group_handler(
+    app: AppId,
+    rank: Rank,
+    daemon_rx: Receiver<ProcDown>,
+    abort: Arc<AtomicBool>,
+    bell: starfish_vni::PortBell,
+) -> Receiver<(ProcDown, u64)> {
     let (fwd_tx, fwd_rx) = channel::unbounded();
-    let outer_rx = std::mem::replace(&mut rt.down_rx, fwd_rx);
-    let flag = rt.abort_flag.clone();
     std::thread::Builder::new()
-        .name(format!("gh-{}-{}", rt.app, rt.rank))
+        .name(format!("gh-{app}-{rank}"))
         .spawn(move || {
-            for msg in outer_rx.iter() {
+            for msg in daemon_rx.iter() {
                 if matches!(msg, ProcDown::Rollback { .. } | ProcDown::Kill { .. }) {
-                    flag.store(true, Ordering::Relaxed);
+                    abort.store(true, Ordering::Relaxed);
                 }
-                if fwd_tx.send(msg).is_err() {
+                if bell.ring_with(|t| fwd_tx.send((msg, t))).is_err() {
                     return;
                 }
             }
+            // Daemon gone: wake the rank to find the channel disconnected.
+            drop(fwd_tx);
+            bell.ring();
         })
         .expect("spawn group-handler forwarder");
+    fwd_rx
+}
 
+/// The process main loop: run the user code, re-entering after rollbacks.
+pub(crate) fn process_main(mut rt: ProcessRuntime, run: Arc<crate::host::AppFn>) {
     let dbg = std::env::var_os("STARFISH_RT_DEBUG").is_some();
     loop {
         if let Some(idx) = rt.restart_to.take() {

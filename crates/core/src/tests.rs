@@ -666,3 +666,59 @@ fn checkpoint_under_heavy_traffic_loses_nothing() {
         vec![CkptValue::Int(expect as i64)]
     );
 }
+
+/// A rank blocked in `Ctx::recv` joins a system-initiated stop-and-sync
+/// round: the daemon-relayed Stop rings its receive queue, the receive
+/// returns to its service point and captures the cached safepoint state,
+/// the round commits while the receive is still pending, and the receive
+/// then gets the message sent after the round.
+#[test]
+fn blocked_receive_joins_system_initiated_round() {
+    use starfish_events::EventKind;
+    use std::sync::atomic::{AtomicBool, Ordering};
+    use std::sync::Arc;
+
+    let cluster = Cluster::builder().nodes(2).build().unwrap();
+    let release = Arc::new(AtomicBool::new(false));
+    let released = release.clone();
+    cluster.register_app("blocked-recv", move |ctx| {
+        let state = CkptValue::record(vec![("rank", CkptValue::Int(ctx.rank().0 as i64))]);
+        if ctx.rank().0 == 0 {
+            // The coordinator serves the round at its safepoints.
+            while !released.load(Ordering::SeqCst) {
+                ctx.safepoint(&state)?;
+                std::thread::sleep(Duration::from_millis(1));
+            }
+            ctx.send(Rank(1), 5, b"after the round")?;
+        } else {
+            ctx.safepoint(&state)?;
+            ctx.publish(CkptValue::Str("receiving".into()));
+            let m = ctx.recv(Some(Rank(0)), Some(5))?;
+            ctx.publish(CkptValue::Bytes(m.data.to_vec()));
+        }
+        Ok(())
+    });
+    let app = cluster
+        .submit("blocked-recv", 2, SubmitOpts::default())
+        .unwrap();
+    cluster.wait_outputs(app, Rank(1), 1, T).unwrap();
+    let mut events = cluster.events().subscribe();
+    cluster.checkpoint(app).unwrap();
+    let deadline = std::time::Instant::now() + T;
+    let committed = |ev: &starfish_events::ClusterEvent| matches!(ev.kind, EventKind::CkptCommit { app: a, index: 1, .. } if a == app);
+    while !events.poll().events.iter().any(committed) {
+        assert!(
+            std::time::Instant::now() < deadline,
+            "round never committed"
+        );
+        std::thread::sleep(Duration::from_millis(5));
+    }
+    // Rank 1 saved its image from inside the receive, which is still
+    // waiting for its message.
+    assert_eq!(cluster.store().latest_index(app, Rank(1)), 1);
+    assert_eq!(cluster.outputs(app, Rank(1)).len(), 1);
+    release.store(true, Ordering::SeqCst);
+    let out = cluster.wait_outputs(app, Rank(1), 2, T).unwrap();
+    assert_eq!(out[1], CkptValue::Bytes(b"after the round".to_vec()));
+    cluster.wait_app_done(app, T).unwrap();
+}

@@ -24,7 +24,9 @@ use starfish_telemetry::{metric, Registry};
 use starfish_trace::{FlightRecorder, TraceCtx};
 use starfish_util::trace::{ActorKind, MsgClass, TraceSink};
 use starfish_util::{AppId, Epoch, Error, Rank, Result, VClock, VirtualTime};
-use starfish_vni::{Addr, Fabric, LayerCosts, Packet, PacketKind, PollingThread, Port, RecvQueue};
+use starfish_vni::{
+    Addr, Fabric, LayerCosts, Packet, PacketKind, PollingThread, Port, PortBell, RecvQueue,
+};
 
 use crate::directory::RankDirectory;
 use crate::reliability::{FlowRx, FlowTx, RxVerdict};
@@ -331,6 +333,8 @@ pub struct MpiEndpoint {
     layers: LayerCosts,
     trace: TraceSink,
     source: Source,
+    /// Rings the data port (see [`MpiEndpoint::waker`]).
+    bell: PortBell,
     /// Parsed messages that arrived before a matching receive was posted.
     /// Rendezvous transfers appear here as [`Body::RndvPending`]
     /// placeholders from RTS arrival until their DATA merges in place.
@@ -417,6 +421,7 @@ impl MpiEndpoint {
         let dir_epoch_at_start = dir.epoch();
         let bound_addr = Addr::new(node, data_port(app, rank));
         let port = fabric.bind(bound_addr)?;
+        let bell = port.bell();
         let source = match mode {
             RecvMode::Polled => {
                 let queue = RecvQueue::new();
@@ -437,6 +442,7 @@ impl MpiEndpoint {
             layers: fabric.layers(),
             trace,
             source,
+            bell,
             unexpected: VecDeque::new(),
             ctrl_marks: VecDeque::new(),
             epoch: dir_epoch_at_start,
@@ -878,7 +884,12 @@ impl MpiEndpoint {
                     self.pending_rndv_tx.remove(&id);
                     Error::timeout(format!("rendezvous send {id} awaiting CTS"))
                 })?;
-            self.ingest_one(clock, Some(remain.min(REL_PING_INTERVAL)))?;
+            // A ring asks for a service point this wait has none of: it
+            // only ends the slice early.
+            match self.ingest_one(clock, Some(remain.min(REL_PING_INTERVAL))) {
+                Ok(_) | Err(Error::Interrupted(_)) => {}
+                Err(e) => return Err(e),
+            }
         }
         Ok(())
     }
@@ -1660,6 +1671,8 @@ impl MpiEndpoint {
             let remain = deadline
                 .checked_duration_since(std::time::Instant::now()) // lint: allow(wall-clock)
                 .ok_or_else(|| Error::timeout(format!("recv on {} ctx {}", self.rank, context)))?;
+            // A ring (see `waker`) surfaces as `Interrupted`: the caller's
+            // service point is due.
             self.ingest_one(clock, Some(remain.min(slice)))?;
         }
     }
@@ -1801,23 +1814,43 @@ impl MpiEndpoint {
         out
     }
 
-    /// Block until at least one C/R mark arrives (quiesce loop).
-    pub fn wait_ctrl(
-        &mut self,
-        clock: &mut VClock,
-        timeout: Duration,
-    ) -> Result<Vec<(Rank, Bytes, VirtualTime)>> {
-        let deadline = std::time::Instant::now() + timeout; // lint: allow(wall-clock)
-        loop {
-            self.check_abort()?;
-            let marks = self.pump_ctrl(clock);
-            if !marks.is_empty() {
-                return Ok(marks);
-            }
-            let remain = deadline
-                .checked_duration_since(std::time::Instant::now()) // lint: allow(wall-clock)
-                .ok_or_else(|| Error::timeout("wait_ctrl"))?;
-            self.ingest_one(clock, Some(remain.min(Duration::from_millis(100))))?;
+    /// A handle that rings this endpoint's data port: its blocking receive
+    /// returns `Interrupted` and [`wait_event`](Self::wait_event) returns,
+    /// but only after every packet that reached the port before the ring
+    /// (in [`RecvMode::Polled`], the polling thread forwards the ring to
+    /// the receive queue behind them).
+    pub fn waker(&self) -> PortBell {
+        self.bell.clone()
+    }
+
+    /// The highest ring ticket (see [`waker`](Self::waker)) whose preceding
+    /// packets the next non-blocking ingest is sure to see: passed on by
+    /// the polling thread or, on a direct port (which the ingest drains
+    /// itself), issued. Every ticket once the port is closed.
+    pub fn rings_passed(&self) -> u64 {
+        match &self.source {
+            Source::Polled { queue, .. } if queue.is_closed() => u64::MAX,
+            Source::Polled { queue, .. } => queue.rings_passed(),
+            Source::Direct { port } => port.rings(),
+        }
+    }
+
+    /// Ring this endpoint once `dst`'s data port is bound: a C/R mark that
+    /// found the peer still binding is retried on that event.
+    pub fn wake_on_bind(&self, dst: Rank) {
+        if let Ok(node) = self.dir.node_of(dst) {
+            let addr = Addr::new(node, data_port(self.app, dst));
+            self.fabric.ring_on_bind(addr, self.bell.clone());
+        }
+    }
+
+    /// Block until a packet arrives (C/R marks included) or the endpoint is
+    /// rung, for at most `timeout`. Takes nothing and adds no virtual time:
+    /// the caller's service point drains whatever woke it.
+    pub fn wait_event(&self, timeout: Duration) -> Result<()> {
+        match &self.source {
+            Source::Polled { queue, .. } => queue.wait_ready(timeout),
+            Source::Direct { port } => port.wait_ready(timeout),
         }
     }
 

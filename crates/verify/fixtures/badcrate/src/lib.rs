@@ -11,6 +11,7 @@
 //!   5. lock-order           — `Locks.a`/`Locks.b` acquired in both orders
 //!   6. blocking-while-locked— `thread::sleep` under `Locks.a`
 //!   7. panic-surface        — `unwrap` in non-test code
+//!   8. sleep-poll           — waiting on a flag with `thread::sleep`
 
 use std::time::Instant;
 
@@ -85,5 +86,13 @@ mod tests {
     fn roundtrip_ping_only() {
         let _ = "Ping";
         let _ = "Seen";
+    }
+}
+
+/// Violation 8 (sleep-poll): waiting for a flag by sleeping instead of
+/// waking on the event that sets it.
+pub fn await_flag(flag: &std::sync::atomic::AtomicBool) {
+    while !flag.load(std::sync::atomic::Ordering::Acquire) {
+        std::thread::sleep(std::time::Duration::from_millis(1));
     }
 }

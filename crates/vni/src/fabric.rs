@@ -258,6 +258,8 @@ struct Membership {
     /// Unordered node pairs with a cut link, stored as (min, max).
     partitions: HashSet<(NodeId, NodeId)>,
     watchers: Vec<Sender<FabricEvent>>,
+    /// Bells to ring when an address gets bound ([`Fabric::ring_on_bind`]).
+    bind_bells: HashMap<Addr, Vec<PortBell>>,
     /// Installed link faults, keyed by *directed* (src, dst) node pair.
     links: HashMap<(NodeId, NodeId), Mutex<LinkState>>,
     /// Telemetry registry fed per accepted packet (count, size, wire time).
@@ -312,6 +314,7 @@ impl Fabric {
                     nodes: HashMap::new(),
                     partitions: HashSet::new(),
                     watchers: Vec::new(),
+                    bind_bells: HashMap::new(),
                     links: HashMap::new(),
                     metrics: None,
                 }),
@@ -484,12 +487,28 @@ impl Fabric {
         }
         let (inbox, doorbell) = Inbox::new();
         m.ports.insert(addr, Arc::clone(&inbox));
+        let bells = m.bind_bells.remove(&addr).unwrap_or_default();
+        drop(m);
+        bells.iter().for_each(PortBell::ring);
         Ok(Port {
             addr,
             inbox,
             doorbell,
             fabric: self.clone(),
         })
+    }
+
+    /// Ring `bell` once `addr` is bound (at once, if it already is): a
+    /// sender holding traffic for a peer that is still binding its port
+    /// wakes on the bind instead of polling for it.
+    pub fn ring_on_bind(&self, addr: Addr, bell: PortBell) {
+        let mut m = self.inner.membership.write();
+        if m.ports.contains_key(&addr) {
+            drop(m);
+            bell.ring();
+        } else {
+            m.bind_bells.entry(addr).or_default().push(bell);
+        }
     }
 
     /// Release a port (idempotent). Waiters wake with `Closed`; packets
@@ -771,6 +790,24 @@ pub struct Port {
     fabric: Fabric,
 }
 
+/// Rings a [`Port`] without a packet: its owner's blocking wait returns
+/// once every packet delivered before the ring has been taken, so a ring
+/// never overtakes data already on the port.
+#[derive(Clone)]
+pub struct PortBell(Arc<Inbox>);
+
+impl PortBell {
+    pub fn ring(&self) {
+        self.ring_with(|_| ());
+    }
+
+    /// Ring, running `f` with the ring's ticket before any consumer can
+    /// see the ring (see [`Inbox::ring_with`]).
+    pub fn ring_with<R>(&self, f: impl FnOnce(u64) -> R) -> R {
+        self.0.ring_with(f)
+    }
+}
+
 impl Port {
     pub fn addr(&self) -> Addr {
         self.addr
@@ -804,27 +841,51 @@ impl Port {
 
     /// Blocking batched receive: waits for the first packet, then returns
     /// up to `max` packets in one inbox lock acquisition (the polling
-    /// thread's drain loop). Errors with [`Error::Closed`] once the port is
-    /// closed and drained.
-    pub fn recv_batch(&self, max: usize) -> Result<Vec<Packet>> {
-        let batch = self.inbox.pop_batch_wait(max);
-        if batch.is_empty() {
-            Err(Error::closed(format!("port {} closed", self.addr)))
-        } else {
-            Ok(batch)
+    /// thread's drain loop), or [`PopBatch::Rung`] once every packet
+    /// delivered before a ring has been returned. Errors with
+    /// [`Error::Closed`] once the port is closed and drained.
+    pub fn recv_batch(&self, max: usize) -> Result<PopBatch> {
+        match self.inbox.pop_batch_wait(max) {
+            PopBatch::Closed => Err(Error::closed(format!("port {} closed", self.addr))),
+            b => Ok(b),
         }
     }
 
     /// Batched receive with a real-time deadline: waits for the first
     /// packet, then returns up to `max` packets drained in one inbox lock
-    /// acquisition. `Ok(vec![])` on timeout; [`Error::Closed`] once the
+    /// acquisition. `Ok(vec![])` on timeout; [`Error::Interrupted`] when
+    /// the port was rung with nothing queued; [`Error::Closed`] once the
     /// port is closed and drained.
     pub fn recv_batch_timeout(&self, max: usize, d: Duration) -> Result<Vec<Packet>> {
         match self.inbox.pop_batch_timeout(max, d) {
             PopBatch::Packets(b) => Ok(b),
             PopBatch::TimedOut => Ok(Vec::new()),
+            PopBatch::Rung(_) => Err(Error::interrupted(format!("port {} rung", self.addr))),
             PopBatch::Closed => Err(Error::closed(format!("port {} closed", self.addr))),
         }
+    }
+
+    /// Block until a packet is queued, the port is rung, or `timeout`
+    /// elapses, taking no packet. [`Error::Closed`] once the port is closed
+    /// and drained.
+    pub fn wait_ready(&self, timeout: Duration) -> Result<()> {
+        if self.inbox.wait_ready(timeout) {
+            Ok(())
+        } else {
+            Err(Error::closed(format!("port {} closed", self.addr)))
+        }
+    }
+
+    /// A handle that rings this port ([`PortBell::ring`]) from any thread,
+    /// e.g. while the port itself is owned by a polling thread.
+    pub fn bell(&self) -> PortBell {
+        PortBell(self.inbox.clone())
+    }
+
+    /// Ring tickets issued on this port so far: every packet delivered
+    /// before ring `t <= rings()` is queued here now.
+    pub fn rings(&self) -> u64 {
+        self.inbox.rings()
     }
 
     /// Non-blocking batched receive: up to `max` packets in one inbox lock
@@ -1046,12 +1107,58 @@ mod tests {
         for tag in 0..5 {
             f.send(tagged(a, b, tag)).unwrap();
         }
-        let batch = pb.recv_batch(3).unwrap();
-        assert_eq!(batch.iter().map(|p| p.tag).collect::<Vec<_>>(), [0, 1, 2]);
-        let batch = pb.recv_batch(16).unwrap();
-        assert_eq!(batch.iter().map(|p| p.tag).collect::<Vec<_>>(), [3, 4]);
+        let tags = |b: Result<PopBatch>| match b {
+            Ok(PopBatch::Packets(b)) => b.iter().map(|p| p.tag).collect::<Vec<_>>(),
+            _ => panic!("expected packets"),
+        };
+        assert_eq!(tags(pb.recv_batch(3)), [0, 1, 2]);
+        assert_eq!(tags(pb.recv_batch(16)), [3, 4]);
         f.crash_node(NodeId(1));
         assert!(matches!(pb.recv_batch(16), Err(Error::Closed(_))));
+    }
+
+    #[test]
+    fn a_ring_follows_the_packets_delivered_before_it() {
+        let f = fabric();
+        let a = Addr::new(NodeId(0), PortId(1));
+        let b = Addr::new(NodeId(1), PortId(1));
+        let _pa = f.bind(a).unwrap();
+        let pb = f.bind(b).unwrap();
+        let bell = pb.bell();
+        f.send(tagged(a, b, 1)).unwrap();
+        assert_eq!(bell.ring_with(|t| t), 1);
+        f.send(tagged(a, b, 2)).unwrap();
+        bell.ring();
+        assert_eq!(pb.rings(), 2);
+        // Both packets come out before the (coalesced) rings.
+        assert!(matches!(pb.recv_batch(1), Ok(PopBatch::Packets(p)) if p[0].tag == 1));
+        assert!(matches!(pb.recv_batch(8), Ok(PopBatch::Packets(p)) if p[0].tag == 2));
+        assert!(matches!(pb.recv_batch(8), Ok(PopBatch::Rung(2))));
+        // A direct reader sees an unreported ring as an interrupted wait.
+        bell.ring();
+        assert!(matches!(
+            pb.recv_batch_timeout(8, Duration::from_secs(30)),
+            Err(Error::Interrupted(_))
+        ));
+        assert!(pb
+            .recv_batch_timeout(8, Duration::from_millis(10))
+            .unwrap()
+            .is_empty());
+    }
+
+    #[test]
+    fn ring_on_bind_wakes_the_watcher_when_the_port_is_bound() {
+        let f = fabric();
+        let a = Addr::new(NodeId(0), PortId(1));
+        let b = Addr::new(NodeId(1), PortId(1));
+        let pa = f.bind(a).unwrap();
+        f.ring_on_bind(b, pa.bell());
+        assert_eq!(pa.rings(), 0);
+        let _pb = f.bind(b).unwrap();
+        assert_eq!(pa.rings(), 1);
+        // Already bound: rings at once.
+        f.ring_on_bind(b, pa.bell());
+        assert_eq!(pa.rings(), 2);
     }
 
     #[test]

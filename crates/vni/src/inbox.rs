@@ -41,6 +41,10 @@ pub enum Pop {
 pub enum PopBatch {
     /// At least one packet (never an empty vector).
     Packets(Vec<Packet>),
+    /// The inbox was [rung](Inbox::ring_with) and holds no packet: every
+    /// packet queued before ring number `.0` (and every earlier ring) has
+    /// already been taken.
+    Rung(u64),
     Closed,
     TimedOut,
 }
@@ -48,7 +52,31 @@ pub enum PopBatch {
 struct InboxState {
     packets: VecDeque<Packet>,
     closed: bool,
+    /// Rings so far; each ring's number is its ticket.
+    rings: u64,
+    /// Highest ring a pop or wait has reported.
+    rings_reported: u64,
     doorbell: Option<Sender<()>>,
+}
+
+impl InboxState {
+    /// Up to `max` queued packets, else the unreported rings, else `None`.
+    /// Packets come first, so a ring is reported only once every packet
+    /// queued before it has been taken.
+    fn take_batch(&mut self, max: usize) -> Option<PopBatch> {
+        if !self.packets.is_empty() {
+            let take = self.packets.len().min(max.max(1));
+            return Some(PopBatch::Packets(self.packets.drain(..take).collect()));
+        }
+        self.take_rings().map(PopBatch::Rung)
+    }
+
+    fn take_rings(&mut self) -> Option<u64> {
+        (self.rings_reported < self.rings).then(|| {
+            self.rings_reported = self.rings;
+            self.rings
+        })
+    }
 }
 
 /// One port's receive queue. Shared between the fabric (producer side) and
@@ -66,6 +94,8 @@ impl Inbox {
             q: Mutex::new(InboxState {
                 packets: VecDeque::new(),
                 closed: false,
+                rings: 0,
+                rings_reported: 0,
                 doorbell: Some(tx),
             }),
             cond: Condvar::new(),
@@ -103,6 +133,46 @@ impl Inbox {
         g.doorbell = None;
         drop(g);
         self.cond.notify_all();
+    }
+
+    /// Wake the consumer without a packet. The ring queues behind every
+    /// packet already in the inbox: the batched pops report it
+    /// ([`PopBatch::Rung`]) only once those are taken, and unreported rings
+    /// coalesce. `f` runs under the inbox lock with the ring's ticket, so
+    /// whatever it publishes is in place before any consumer can see the
+    /// ring.
+    pub fn ring_with<R>(&self, f: impl FnOnce(u64) -> R) -> R {
+        let mut g = self.q.lock();
+        g.rings += 1;
+        let r = f(g.rings);
+        drop(g);
+        self.cond.notify_all();
+        r
+    }
+
+    /// Tickets issued so far ([`ring_with`](Self::ring_with)).
+    pub fn rings(&self) -> u64 {
+        self.q.lock().rings
+    }
+
+    /// Block until a packet is queued, a ring is pending (taken here), the
+    /// inbox closes, or `timeout` elapses; takes no packet. `false` once
+    /// the inbox is closed and drained.
+    pub fn wait_ready(&self, timeout: Duration) -> bool {
+        let until = std::time::Instant::now() + timeout; // lint: allow(wall-clock)
+        let mut g = self.q.lock();
+        loop {
+            if !g.packets.is_empty() || g.take_rings().is_some() {
+                return true;
+            }
+            if g.closed {
+                return false;
+            }
+            let left = until.saturating_duration_since(std::time::Instant::now()); // lint: allow(wall-clock)
+            if self.cond.wait_for(&mut g, left).timed_out() {
+                return true;
+            }
+        }
     }
 
     pub fn len(&self) -> usize {
@@ -156,9 +226,8 @@ impl Inbox {
         let start = std::time::Instant::now(); // lint: allow(wall-clock)
         let mut g = self.q.lock();
         loop {
-            if !g.packets.is_empty() {
-                let take = g.packets.len().min(max.max(1));
-                return PopBatch::Packets(g.packets.drain(..take).collect());
+            if let Some(b) = g.take_batch(max) {
+                return b;
             }
             if g.closed {
                 return PopBatch::Closed;
@@ -179,18 +248,18 @@ impl Inbox {
         g.packets.drain(..take).collect()
     }
 
-    /// Blocking batched pop: wait for the first packet, then take up to
-    /// `max` in one lock acquisition. Empty result means the inbox closed
+    /// Blocking batched pop: wait for the first packet (or a ring), then
+    /// take up to `max` in one lock acquisition. Never
+    /// [`PopBatch::TimedOut`]; [`PopBatch::Closed`] once the inbox closed
     /// with nothing queued.
-    pub fn pop_batch_wait(&self, max: usize) -> Vec<Packet> {
+    pub fn pop_batch_wait(&self, max: usize) -> PopBatch {
         let mut g = self.q.lock();
         loop {
-            if !g.packets.is_empty() {
-                let take = g.packets.len().min(max.max(1));
-                return g.packets.drain(..take).collect();
+            if let Some(b) = g.take_batch(max) {
+                return b;
             }
             if g.closed {
-                return Vec::new();
+                return PopBatch::Closed;
             }
             self.cond.wait(&mut g);
         }

@@ -28,7 +28,7 @@ pub mod models;
 pub mod packet;
 pub mod polling;
 
-pub use fabric::{Fabric, FabricEvent, FaultStats, LinkFault, NodeStatus, Port};
+pub use fabric::{Fabric, FabricEvent, FaultStats, LinkFault, NodeStatus, Port, PortBell};
 pub use inbox::{Inbox, Pop, PopBatch};
 pub use models::{BipMyrinet, Ideal, LayerCosts, NetKind, NetworkModel, ServerNetVia, TcpEthernet};
 pub use packet::{Addr, Packet, PacketKind, PortId, DAEMON_PORT};

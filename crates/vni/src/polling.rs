@@ -18,12 +18,13 @@ use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::Duration;
 
-use parking_lot::{Condvar, Mutex};
+use parking_lot::{Condvar, Mutex, MutexGuard};
 
 use starfish_telemetry::{metric, Registry};
 use starfish_util::{Error, Result};
 
 use crate::fabric::Port;
+use crate::inbox::PopBatch;
 use crate::packet::Packet;
 
 /// The queue of received messages fed by the polling thread and consumed by
@@ -43,9 +44,20 @@ struct QueueInner {
 struct QueueState {
     packets: VecDeque<Packet>,
     closed: bool,
+    /// A [`RecvQueue::ring`] no wait has consumed yet.
+    rung: bool,
+    /// Highest port ring ticket passed on by [`RecvQueue::ring`].
+    rings_passed: u64,
     /// Telemetry registry whose `vni.recv_queue_depth` gauge mirrors
     /// `packets.len()` after every mutation.
     metrics: Option<Registry>,
+}
+
+/// Why a blocking wait on the queue returned.
+enum Wake {
+    Packets,
+    Rung,
+    TimedOut,
 }
 
 impl QueueState {
@@ -95,6 +107,26 @@ impl RecvQueue {
         self.inner.cond.notify_all();
     }
 
+    /// Port ring `ticket` has passed: every packet delivered to the port
+    /// before it is queued here. Wakes the owner's blocked wait without a
+    /// packet: the next (or current) [`wait_batch`](Self::wait_batch)
+    /// returns `Interrupted` and the next [`wait_ready`](Self::wait_ready)
+    /// returns. A ring with nobody waiting is latched, once, for the next
+    /// wait. The polling thread rings here when its port is rung, so the
+    /// process runtime's daemon messages and the data path share one wake
+    /// source.
+    pub fn ring(&self, ticket: u64) {
+        let mut g = self.inner.q.lock();
+        g.rung = true;
+        g.rings_passed = g.rings_passed.max(ticket);
+        self.inner.cond.notify_all();
+    }
+
+    /// The highest port ring ticket passed on so far.
+    pub fn rings_passed(&self) -> u64 {
+        self.inner.q.lock().rings_passed
+    }
+
     pub fn is_closed(&self) -> bool {
         self.inner.q.lock().closed
     }
@@ -123,25 +155,51 @@ impl RecvQueue {
 
     /// Block until at least one packet is available (or `deadline` passes),
     /// then remove and return up to `max` packets in one lock acquisition.
-    /// `Ok(vec![])` means the wait timed out with nothing queued.
+    /// `Ok(vec![])` means the wait timed out with nothing queued; a
+    /// [`ring`](Self::ring) ends the wait with `Interrupted`, and a closed
+    /// queue wins over both with `Closed`.
     pub fn wait_batch(&self, max: usize, deadline: Duration) -> Result<Vec<Packet>> {
-        let start = std::time::Instant::now(); // lint: allow(wall-clock)
         let mut g = self.inner.q.lock();
-        loop {
-            if !g.packets.is_empty() {
+        match self.wait(&mut g, deadline)? {
+            Wake::Packets => {
                 let take = g.packets.len().min(max.max(1));
                 let batch: Vec<Packet> = g.packets.drain(..take).collect();
                 g.publish_depth();
-                return Ok(batch);
+                Ok(batch)
+            }
+            Wake::Rung => Err(Error::interrupted("receive queue rung")),
+            Wake::TimedOut => Ok(Vec::new()),
+        }
+    }
+
+    /// Block until a packet is queued, the queue is rung, or `deadline`
+    /// passes, taking nothing: the owner's service loop drains whatever
+    /// woke it. `Closed` once the port is gone.
+    pub fn wait_ready(&self, deadline: Duration) -> Result<()> {
+        let mut g = self.inner.q.lock();
+        self.wait(&mut g, deadline).map(drop)
+    }
+
+    fn wait(&self, g: &mut MutexGuard<'_, QueueState>, deadline: Duration) -> Result<Wake> {
+        let until = std::time::Instant::now() + deadline; // lint: allow(wall-clock)
+        loop {
+            if !g.packets.is_empty() {
+                return Ok(Wake::Packets);
             }
             if g.closed {
                 return Err(Error::closed("receive queue closed"));
             }
-            let elapsed = start.elapsed();
-            if elapsed >= deadline {
-                return Ok(Vec::new());
+            if std::mem::take(&mut g.rung) {
+                return Ok(Wake::Rung);
             }
-            self.inner.cond.wait_for(&mut g, deadline - elapsed);
+            let left = until.saturating_duration_since(std::time::Instant::now()); // lint: allow(wall-clock)
+            if self.inner.cond.wait_for(g, left).timed_out() {
+                return Ok(if g.packets.is_empty() {
+                    Wake::TimedOut
+                } else {
+                    Wake::Packets
+                });
+            }
         }
     }
 
@@ -227,7 +285,9 @@ impl PollingThread {
     /// Spawn the polling thread: moves every packet from `port` into `queue`
     /// until the port closes. Each wakeup drains up to [`Self::DRAIN_BATCH`]
     /// packets in one port lock acquisition instead of one packet per
-    /// handshake. Returns immediately.
+    /// handshake. A ring on the port ([`Port::bell`]) is passed on as a
+    /// [`RecvQueue::ring`] behind the packets delivered before it. Returns
+    /// immediately.
     pub fn spawn(port: Port, queue: RecvQueue) -> Self {
         let handle = std::thread::Builder::new()
             .name(format!("starfish-poll-{}", port.addr()))
@@ -235,10 +295,12 @@ impl PollingThread {
                 let mut moved = 0u64;
                 loop {
                     match port.recv_batch(Self::DRAIN_BATCH) {
-                        Ok(batch) => {
+                        Ok(PopBatch::Packets(batch)) => {
                             moved += batch.len() as u64;
                             queue.push_batch(batch);
                         }
+                        Ok(PopBatch::Rung(ticket)) => queue.ring(ticket),
+                        Ok(_) => {}
                         Err(_) => {
                             queue.close();
                             return moved;
@@ -348,6 +410,83 @@ mod tests {
         std::thread::sleep(Duration::from_millis(20));
         q.close();
         assert!(matches!(h.join().unwrap(), Err(Error::Closed(_))));
+    }
+
+    #[test]
+    fn ring_wakes_a_blocked_wait_batch_without_a_packet() {
+        let q = RecvQueue::new();
+        let q2 = q.clone();
+        let h = std::thread::spawn(move || q2.wait_batch(8, Duration::from_secs(30)));
+        std::thread::sleep(Duration::from_millis(20));
+        q.ring(1);
+        assert!(matches!(h.join().unwrap(), Err(Error::Interrupted(_))));
+        assert_eq!(q.rings_passed(), 1);
+        assert!(q.is_empty());
+    }
+
+    #[test]
+    fn ring_without_a_waiter_is_latched_once() {
+        let q = RecvQueue::new();
+        q.ring(1);
+        q.ring(2);
+        assert!(matches!(
+            q.wait_batch(8, Duration::from_secs(30)),
+            Err(Error::Interrupted(_))
+        ));
+        // The second ring folded into the first: the next wait times out.
+        assert!(q
+            .wait_batch(8, Duration::from_millis(20))
+            .unwrap()
+            .is_empty());
+        assert_eq!(q.rings_passed(), 2);
+        q.ring(3);
+        q.wait_ready(Duration::from_secs(30)).unwrap();
+        assert!(q
+            .wait_batch(8, Duration::from_millis(20))
+            .unwrap()
+            .is_empty());
+    }
+
+    #[test]
+    fn packets_come_before_a_pending_ring() {
+        let q = RecvQueue::new();
+        let (_, a, b) = setup();
+        q.ring(1);
+        q.push(pkt(a, b, 4));
+        let got = q.wait_batch(8, Duration::from_secs(30)).unwrap();
+        assert_eq!(got.len(), 1);
+        // The ring is still owed to the next wait.
+        assert!(matches!(
+            q.wait_batch(8, Duration::from_secs(30)),
+            Err(Error::Interrupted(_))
+        ));
+    }
+
+    #[test]
+    fn close_wins_over_a_ring() {
+        let q = RecvQueue::new();
+        q.ring(1);
+        q.close();
+        assert!(matches!(
+            q.wait_batch(8, Duration::from_secs(30)),
+            Err(Error::Closed(_))
+        ));
+        assert!(matches!(
+            q.wait_ready(Duration::from_secs(30)),
+            Err(Error::Closed(_))
+        ));
+    }
+
+    #[test]
+    fn wait_ready_wakes_on_push_and_takes_nothing() {
+        let q = RecvQueue::new();
+        let (_, a, b) = setup();
+        let q2 = q.clone();
+        let h = std::thread::spawn(move || q2.wait_ready(Duration::from_secs(30)));
+        std::thread::sleep(Duration::from_millis(20));
+        q.push(pkt(a, b, 9));
+        h.join().unwrap().unwrap();
+        assert_eq!(q.len(), 1);
     }
 
     #[test]
